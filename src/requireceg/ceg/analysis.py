@@ -1,20 +1,31 @@
 """Boolean analysis of causal-effect graphs.
 
 Evaluation gives every linked effect the value of its cause expression
-(biconditional semantics); unlinked effects are false. Constraint checking
-and the exhaustive searches below are brute force over all assignments,
-which is exact and fast up to the enumeration cap.
+(biconditional semantics); unlinked effects are false. The exhaustive
+searches below are exact and run on one bit-parallel truth table
+(`TruthTable`): each condition is a 2^k-bit integer column, so a cause
+expression, a constraint or a mask conflict is a few bitwise operations over
+every assignment at once. The table is capped at `ENUMERATION_CAP`
+conditions; a column takes 2^k/8 bytes, 128 KB at the cap.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+import re
+from functools import cached_property, reduce
+from itertools import product
+from operator import and_, or_
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ..errors import IncompleteAssignment, TooManyConditions
 from .model import (
+    And,
+    Atom,
     CausalEffectGraph,
     CauseExpr,
     Constraint,
+    ConstraintOp,
+    Not,
     TruthAssignment,
     eval_expr,
     expr_atoms,
@@ -47,32 +58,101 @@ def evaluate(graph: CausalEffectGraph, assignment: TruthAssignment) -> EvalResul
 
 def _assignments(condition_ids: Sequence[str]) -> Iterable[TruthAssignment]:
     """All assignments, true-first per condition in sorted-id order."""
-    k = len(condition_ids)
-    for i in range(2 ** k):
-        yield {
-            cid: ((i >> (k - 1 - j)) & 1) == 0
-            for j, cid in enumerate(condition_ids)
-        }
+    return (dict(zip(condition_ids, values))
+            for values in product((True, False), repeat=len(condition_ids)))
 
 
-def _check_cap(graph: CausalEffectGraph, cap: int) -> tuple[str, ...]:
-    conditions = graph.conditions()
-    if len(conditions) > cap:
-        raise TooManyConditions(
-            f"{len(conditions)} conditions exceed the enumeration cap of {cap}"
-        )
-    return conditions
+def _column(shift: int, rows: int) -> int:
+    """Rows (bit i of the result) in which bit `shift` of i is 0."""
+    run = 1 << shift
+    column, width = (1 << run) - 1, 2 * run
+    while width < rows:
+        column |= column << width
+        width *= 2
+    return column
+
+
+class TruthTable:
+    """Every assignment of some conditions at once, one bit per row.
+
+    Bit i of a mask is row i of `_assignments`: condition j is true in row i
+    iff bit k-1-j of i is 0. For a graph it also holds the rows meeting every
+    constraint, the rows where each linked effect fires, and the rows where no
+    `MSK` restriction has both of its effects firing.
+    """
+
+    def __init__(self, conditions: Sequence[str],
+                 graph: CausalEffectGraph = CausalEffectGraph(nodes=())):
+        k = len(conditions)
+        self.full = (1 << (1 << k)) - 1
+        self.columns = {cid: _column(k - 1 - j, 1 << k) for j, cid in enumerate(conditions)}
+        self.consistent = reduce(and_, map(self.constraint, graph.constraints), self.full)
+        self.fires = {link.effect: self.expr(link.cause) for link in graph.links}
+        self.unmasked = self.full ^ reduce(or_, (self.fires.get(r.a, 0) & self.fires.get(r.b, 0)
+                                                 for r in graph.restrictions), 0)
+
+    @classmethod
+    def of(cls, graph: CausalEffectGraph, cap: int = ENUMERATION_CAP) -> "TruthTable":
+        """The graph's table; TooManyConditions is raised before anything is built."""
+        conditions = graph.conditions()
+        if len(conditions) > cap:
+            raise TooManyConditions(
+                f"{len(conditions)} conditions exceed the enumeration cap of {cap}")
+        return cls(conditions, graph)
+
+    def expr(self, expr: CauseExpr) -> int:
+        if isinstance(expr, Atom):
+            return self.columns[expr.condition]
+        if isinstance(expr, Not):
+            return self.full ^ self.expr(expr.operand)
+        return reduce(and_ if isinstance(expr, And) else or_, map(self.expr, expr.operands))
+
+    def constraint(self, constraint: Constraint) -> int:
+        a, b = self.columns[constraint.a], self.columns[constraint.b]
+        if constraint.op is ConstraintOp.EXC:
+            return self.full ^ (a & b)
+        if constraint.op is ConstraintOp.INC:
+            return a | b
+        if constraint.op is ConstraintOp.REQ:
+            return (self.full ^ a) | b
+        return a ^ b
+
+    def cube(self, literals: Mapping[str, bool]) -> int:
+        """Rows that agree with every given condition value."""
+        return reduce(and_, (self.columns[cid] if value else self.full ^ self.columns[cid]
+                             for cid, value in literals.items()), self.full)
+
+    @cached_property
+    def by_true_count(self) -> list[int]:
+        """Entry t holds the rows with exactly t true conditions."""
+        counts = [self.full]
+        for column in self.columns.values():
+            counts = [(rows & ~column) | (fewer & column)
+                      for rows, fewer in zip(counts + [0], [0] + counts)]
+        return counts
+
+    def first_row(self, mask: int, most_true: bool) -> Optional[TruthAssignment]:
+        """The first row of `mask` with the most (or the fewest) true conditions."""
+        counts = self.by_true_count
+        for rows in (reversed(counts) if most_true else counts):
+            if hit := mask & rows:
+                return self.row((hit & -hit).bit_length() - 1)
+        return None
+
+    def row(self, i: int) -> TruthAssignment:
+        k = len(self.columns)
+        return {cid: not (i >> (k - 1 - j)) & 1 for j, cid in enumerate(self.columns)}
+
+    def rows(self, mask: int) -> list[TruthAssignment]:
+        """The rows of `mask` as assignments, in row order."""
+        return [self.row(m.start()) for m in re.finditer("1", bin(mask)[:1:-1])]
 
 
 def consistent_assignments(graph: CausalEffectGraph,
                            cap: int = ENUMERATION_CAP) -> list[TruthAssignment]:
     """Every assignment satisfying all constraints; empty means unsatisfiable."""
-    conditions = _check_cap(graph, cap)
-    return [
-        assignment
-        for assignment in _assignments(conditions)
-        if all(c.holds(assignment) for c in graph.constraints)
-    ]
+    table = TruthTable.of(graph, cap)
+    return table.rows(table.consistent)
 
 
 def find_uncovered_conditions(graph: CausalEffectGraph,
@@ -82,11 +162,8 @@ def find_uncovered_conditions(graph: CausalEffectGraph,
     These are the missing-edge-case witnesses: situations the constraint set
     allows but for which the graph specifies no behavior.
     """
-    uncovered = []
-    for assignment in consistent_assignments(graph, cap):
-        if not any(eval_expr(link.cause, assignment) for link in graph.links):
-            uncovered.append(assignment)
-    return uncovered
+    table = TruthTable.of(graph, cap)
+    return table.rows(table.consistent & ~reduce(or_, table.fires.values(), 0))
 
 
 ConstraintPattern = Sequence[Constraint]
@@ -106,72 +183,48 @@ def diff_constraint_coverage(graph: CausalEffectGraph,
         alternatives = (pattern,) if isinstance(pattern, Constraint) else tuple(pattern)
         if not alternatives:
             raise ValueError("a required pattern must have at least one alternative")
-        for alt in alternatives:
-            for operand in (alt.a, alt.b):
-                if operand not in node_map:
-                    raise ValueError(f"pattern references undeclared condition '{operand}'")
+        for operand in (operand for alt in alternatives for operand in (alt.a, alt.b)):
+            if operand not in node_map:
+                raise ValueError(f"pattern references undeclared condition '{operand}'")
         patterns.append((pattern, alternatives))
-    assignments = consistent_assignments(graph, cap)
-    missing = []
-    for original, alternatives in patterns:
-        entailed = all(
-            any(alt.holds(assignment) for alt in alternatives)
-            for assignment in assignments
-        )
-        if not entailed:
-            missing.append(original)
-    return missing
+    table = TruthTable.of(graph, cap)
+    return [original for original, alternatives in patterns
+            if table.consistent & ~reduce(or_, map(table.constraint, alternatives))]
 
 
 def minimal_satisfying_assignments(expr: CauseExpr) -> list[dict[str, bool]]:
     """All minimal partial assignments over the expression's support forcing it true.
 
-    A partial assignment forces the expression true when every completion of
-    the unassigned support variables evaluates true. Minimality is by subset:
-    no variable can be dropped. Result order is deterministic.
+    These are the prime implicants (McCluskey 1956): a cube forces f when
+    `cube & ~f == 0`, and no literal can be dropped from a minimal one. The
+    empty cube is never returned, so a tautology yields every one-literal
+    cube. Cubes grow one literal at a time in support order, and only those
+    that meet f without forcing it grow further. Result order is deterministic.
     """
     support = sorted(expr_atoms(expr))
-    if not support:
-        return []
-    full = [dict(a) for a in _assignments(support) if eval_expr(expr, a)]
-    if not full:
-        return []
-
-    force_cache: dict[frozenset, bool] = {}
-
-    def forces(partial: frozenset) -> bool:
-        cached = force_cache.get(partial)
-        if cached is not None:
-            return cached
-        fixed = dict(partial)
-        free = [v for v in support if v not in fixed]
-        result = True
-        for completion in _assignments(free):
-            trial = {**fixed, **completion}
-            if not eval_expr(expr, trial):
-                result = False
-                break
-        force_cache[partial] = result
-        return result
-
-    minimal: set[frozenset] = set()
-    visited: set[frozenset] = set()
-
-    def shrink(partial: frozenset) -> None:
-        if partial in visited:
-            return
-        visited.add(partial)
-        reducible = False
-        for item in sorted(partial):
-            sub = partial - {item}
-            if sub and forces(sub):
-                reducible = True
-                shrink(sub)
-        if not reducible:
-            minimal.add(partial)
-
-    for assignment in full:
-        shrink(frozenset(assignment.items()))
-    result = [dict(sorted(p)) for p in minimal]
-    result.sort(key=lambda p: (len(p), sorted(p.items())))
-    return result
+    table = TruthTable(support)
+    f = table.expr(expr)
+    literals = [((cid, value), table.cube({cid: value}))
+                for cid in support for value in (False, True)]
+    minimal: list[dict[str, bool]] = []
+    # (cube, its rows, index of the first literal it may grow by)
+    frontier: list[tuple[tuple, int, int]] = [((), table.full, 0)]
+    while frontier:
+        grown = []
+        for cube, rows, start in frontier:
+            for index in range(start, len(literals)):
+                literal, column = literals[index]
+                rows_now = rows & column
+                if not rows_now & f:
+                    continue  # no completion satisfies f, so no extension forces it
+                candidate = cube + (literal,)
+                if rows_now & ~f:
+                    grown.append((candidate, rows_now, index // 2 * 2 + 2))
+                # A forcing cube is minimal when no literal can be dropped. Without
+                # its last literal it is a grown cube, which does not force f.
+                elif all(table.cube(dict(candidate[:i] + candidate[i + 1:])) & ~f
+                         for i in range(len(candidate) - 1)):
+                    minimal.append(dict(candidate))
+        frontier = grown
+    minimal.sort(key=lambda p: (len(p), sorted(p.items())))
+    return minimal

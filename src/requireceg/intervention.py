@@ -14,14 +14,10 @@ import logging
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .ceg.analysis import ENUMERATION_CAP, consistent_assignments, evaluate
+# perfbench/spans.py traces calls to consistent_assignments through this module's globals.
+from .ceg.analysis import ENUMERATION_CAP, TruthTable, consistent_assignments, evaluate  # noqa: F401
 from .ceg.dsl import FormalError, check_formal, compose_source, parse_ceg
-from .ceg.model import (
-    AtomicNode,
-    CausalEffectGraph,
-    TruthAssignment,
-    eval_expr,
-)
+from .ceg.model import AtomicNode, CausalEffectGraph, TruthAssignment
 from .errors import DslSyntaxError, FormalLoopExhausted, OracleFailure
 from .oracle import Oracle, OracleRequest, parse_structured_answer
 
@@ -129,27 +125,20 @@ class HealingLog:
 
 
 def _baseline_assignment(graph: CausalEffectGraph,
-                         notes: Optional[list[str]] = None,
                          cap: int = ENUMERATION_CAP) -> Optional[TruthAssignment]:
     """All-true baseline, or the max-true consistent assignment when constraints forbid it."""
-    conditions = graph.conditions()
-    all_true = {c: True for c in conditions}
+    all_true = {c: True for c in graph.conditions()}
     if all(constraint.holds(all_true) for constraint in graph.constraints):
         return all_true
-    candidates = consistent_assignments(graph, cap)
-    if not candidates:
-        if notes is not None:
-            notes.append("constraint set is unsatisfiable; no baseline exists")
-        return None
-    best = max(range(len(candidates)),
-               key=lambda i: (sum(candidates[i].values()), -i))
-    if notes is not None:
-        trues = sorted(c for c, v in candidates[best].items() if v)
-        notes.append(
-            "all-true baseline violates constraints; substituted first consistent "
-            f"assignment with maximum true count (true: {', '.join(trues) or 'none'})"
-        )
-    return candidates[best]
+    table = TruthTable.of(graph, cap)
+    best = table.first_row(table.consistent, most_true=True)
+    if best is None:
+        logger.info("constraint set is unsatisfiable; no baseline exists")
+    else:
+        logger.info("all-true baseline violates constraints; substituted first consistent "
+                    "assignment with maximum true count (true: %s)",
+                    ", ".join(c for c, v in sorted(best.items()) if v) or "none")
+    return best
 
 
 def _render_question(graph: CausalEffectGraph, condition: str,
@@ -179,37 +168,27 @@ def _render_question(graph: CausalEffectGraph, condition: str,
 def construct_iqs(graph: CausalEffectGraph,
                   cap: int = ENUMERATION_CAP) -> list[InterventionQuestion]:
     """One question group per condition whose do(C=False) flip changes anything."""
-    notes: list[str] = []
-    baseline = _baseline_assignment(graph, notes, cap)
-    for note in notes:
-        logger.info("%s", note)
+    baseline = _baseline_assignment(graph, cap)
     if baseline is None:
         return []
-    base_eval = evaluate(graph, baseline)
+    before = evaluate(graph, baseline).effects
     questions: list[InterventionQuestion] = []
     for condition in graph.conditions():
         if not baseline[condition]:
             continue  # forcing false is a no-op for an already-false baseline value
-        intervened = dict(baseline)
-        intervened[condition] = False
-        int_eval = evaluate(graph, intervened)
-        changed_links = [
-            link for link in graph.links
-            if eval_expr(link.cause, baseline) != eval_expr(link.cause, intervened)
-        ]
-        changed_links.sort(key=lambda l: l.effect)
-        changed_constraints = [
-            c for c in graph.constraints
-            if c.holds(baseline) != c.holds(intervened)
-        ]
-        changed_constraints.sort(key=lambda c: (c.op.value, c.a, c.b))
+        intervened = {**baseline, condition: False}
+        after = evaluate(graph, intervened).effects
+        changed_links = sorted((link for link in graph.links
+                                if before[link.effect] != after[link.effect]),
+                               key=lambda l: l.effect)
+        changed_constraints = sorted((c for c in graph.constraints
+                                      if c.holds(baseline) != c.holds(intervened)),
+                                     key=lambda c: (c.op.value, c.a, c.b))
         if not changed_links and not changed_constraints:
             continue
-        changes = {
-            effect: (base_eval.effects[effect], int_eval.effects[effect])
-            for effect in base_eval.effects
-            if base_eval.effects[effect] != int_eval.effects[effect]
-        }
+        # Only linked effects can change; changed_links is in effect order.
+        changes = {link.effect: (before[link.effect], after[link.effect])
+                   for link in changed_links}
         affected = tuple(
             [l.statement_text() for l in changed_links]
             + [c.statement_text() for c in changed_constraints]
@@ -222,8 +201,7 @@ def construct_iqs(graph: CausalEffectGraph,
             intervened=intervened,
             expected_effect_changes=changes,
             rendered_question=_render_question(
-                graph, condition, baseline, changed_links, changed_constraints,
-                int_eval.effects,
+                graph, condition, baseline, changed_links, changed_constraints, after,
             ),
         ))
     return questions

@@ -128,9 +128,18 @@ def load_prompt(agent: str) -> str:
         raise OracleFailure(f"no prompt template for agent '{agent}'") from exc
 
 
+# Longest wait honoured from a server's numeric Retry-After header, in seconds.
+MAX_RETRY_AFTER_S = 10.0
+
+
 @dataclass
 class HttpOracle:
-    """Chat-completion client for a live provider, configured by profile."""
+    """Chat-completion client for a live provider, configured by profile.
+
+    A 4xx answer other than 429 fails at once. A 429, a 5xx or a transport
+    error is retried up to `retries` times, after the server's numeric
+    Retry-After (at most MAX_RETRY_AFTER_S) or a short linear backoff.
+    """
 
     endpoint: str
     model: str
@@ -160,15 +169,24 @@ class HttpOracle:
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
             req = urllib.request.Request(self.endpoint, data=body, headers=headers)
+            delay = 0.2 * (attempt + 1)
             try:
                 with urllib.request.urlopen(req, timeout=self.timeout) as response:
                     data = json.loads(response.read().decode("utf-8"))
                 return data["choices"][0]["message"]["content"]
+            except urllib.error.HTTPError as exc:
+                # A client error other than 429 fails the same way on every retry.
+                if 400 <= exc.code < 500 and exc.code != 429:
+                    raise OracleFailure(f"oracle request rejected: {exc}") from exc
+                last_error = exc
+                retry_after = exc.headers.get("Retry-After", "") if exc.headers else ""
+                if retry_after.strip().isdigit():
+                    delay = min(float(retry_after), MAX_RETRY_AFTER_S)
             except (urllib.error.URLError, OSError, KeyError, IndexError,
                     json.JSONDecodeError) as exc:
                 last_error = exc
-                if attempt < self.retries:
-                    time.sleep(0.2 * (attempt + 1))
+            if attempt < self.retries:
+                time.sleep(delay)
         raise OracleFailure(f"oracle transport failed after {self.retries + 1} attempts: "
                             f"{last_error}")
 

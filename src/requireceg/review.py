@@ -16,19 +16,15 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
 
-from .ceg.analysis import (
+# perfbench/spans.py traces calls to consistent_assignments through this module's globals.
+from .ceg.analysis import (  # noqa: F401
     ENUMERATION_CAP,
+    TruthTable,
     consistent_assignments,
     evaluate,
     minimal_satisfying_assignments,
 )
-from .ceg.model import (
-    CausalEffectGraph,
-    CausalLink,
-    ConstraintOp,
-    NodeKind,
-    TruthAssignment,
-)
+from .ceg.model import CausalEffectGraph, CausalLink, ConstraintOp, NodeKind, TruthAssignment
 from .errors import OracleFailure
 from .gherkin.ast import (
     GherkinDocument,
@@ -302,11 +298,9 @@ def check_scenario(scenario: Scenario, bindings: Sequence[StepBinding],
             tuple(r.statement_text() for r in graph.restrictions if r.b == masked),
         ))
 
-    then_expect: dict[str, tuple[bool, int]] = {}
-    for binding in bindings:
-        if binding.step.resolved_kind is StepKind.ACTION:
-            then_expect[binding.atom_id] = (binding.polarity is Polarity.POSITIVE,
-                                            binding.ref.index)
+    then_expect: dict[str, tuple[bool, int]] = {
+        binding.atom_id: (binding.polarity is Polarity.POSITIVE, binding.ref.index)
+        for binding in bindings if binding.step.resolved_kind is StepKind.ACTION}
 
     missing_preconditions: dict[str, list[str]] = {}
     for effect, (expected, step_index) in sorted(then_expect.items()):
@@ -314,27 +308,18 @@ def check_scenario(scenario: Scenario, bindings: Sequence[StepBinding],
         if expected == actual:
             continue
         link = graph.link_for(effect)
-        if expected and not actual:
-            needed = _completion_conditions(link, assignment, explicit, graph)
-            if needed is None:
-                evidence = (link.statement_text(),) if link else (f"{effect} has no causal statement",)
-                defects.append(Defect(
-                    DefectKind.WRONG_EFFECT,
-                    f"scenario asserts {effect} but its cause cannot hold here",
-                    evidence,
-                    ScenarioPatch(PatchKind.REMOVE_STEP, step_index=step_index),
-                ))
-            else:
-                for cid in needed:
-                    missing_preconditions.setdefault(cid, []).append(link.statement_text())
-        else:
-            evidence = (link.statement_text(),) if link else (f"{effect} has no causal statement",)
-            defects.append(Defect(
-                DefectKind.WRONG_EFFECT,
-                f"scenario asserts {effect} does not occur, but its cause holds",
-                evidence,
-                ScenarioPatch(PatchKind.REMOVE_STEP, step_index=step_index),
-            ))
+        needed = _completion_conditions(link, assignment, explicit, graph) if expected else None
+        if needed is not None:
+            for cid in needed:
+                missing_preconditions.setdefault(cid, []).append(link.statement_text())
+            continue
+        defects.append(Defect(
+            DefectKind.WRONG_EFFECT,
+            f"scenario asserts {effect} but its cause cannot hold here" if expected
+            else f"scenario asserts {effect} does not occur, but its cause holds",
+            (link.statement_text(),) if link else (f"{effect} has no causal statement",),
+            ScenarioPatch(PatchKind.REMOVE_STEP, step_index=step_index),
+        ))
     for cid, evidence in sorted(missing_preconditions.items()):
         defects.append(Defect(
             DefectKind.MISSING_PRECONDITION,
@@ -400,23 +385,14 @@ def branch_key(link: CausalLink, msa: dict[str, bool]) -> tuple[str, frozenset]:
 def covered_branches(graph: CausalEffectGraph,
                      assignments: Sequence[TruthAssignment]) -> set[tuple[str, frozenset]]:
     """Branch keys exercised by any of the given (consistent) assignments."""
-    covered: set[tuple[str, frozenset]] = set()
-    for link in graph.links:
-        for msa in minimal_satisfying_assignments(link.cause):
-            for assignment in assignments:
-                if all(assignment.get(var) == value for var, value in msa.items()):
-                    covered.add(branch_key(link, msa))
-                    break
-    return covered
+    return {branch_key(link, msa) for link in graph.links
+            for msa in minimal_satisfying_assignments(link.cause)
+            if any(msa.items() <= assignment.items() for assignment in assignments)}
 
 
-def _choose_assignment(graph: CausalEffectGraph, msa: dict[str, bool],
-                       cap: int = ENUMERATION_CAP) -> Optional[TruthAssignment]:
-    candidates = [a for a in consistent_assignments(graph, cap)
-                  if all(a[var] == value for var, value in msa.items())]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda a: sum(a.values()))
+def _choose_assignment(table: TruthTable, msa: dict[str, bool]) -> Optional[TruthAssignment]:
+    """The first consistent, mask-free row agreeing with msa, with the fewest true conditions."""
+    return table.first_row(table.consistent & table.unmasked & table.cube(msa), most_true=False)
 
 
 def _synth_steps(graph: CausalEffectGraph, assignment: TruthAssignment,
@@ -432,13 +408,10 @@ def _synth_steps(graph: CausalEffectGraph, assignment: TruthAssignment,
         trigger, support_false = support_false[-1], support_false[:-1]
         givens = []
         when_text = _negation_text(node_map[trigger].description)
-    for cid in givens:
+    for text in ([node_map[cid].description for cid in givens]
+                 + [_negation_text(node_map[cid].description) for cid in support_false]):
         keyword = StepKeyword.GIVEN if not steps else StepKeyword.AND
-        steps.append(Step(keyword, StepKind.PRECONDITION, node_map[cid].description))
-    for cid in support_false:
-        keyword = StepKeyword.GIVEN if not steps else StepKeyword.AND
-        steps.append(Step(keyword, StepKind.PRECONDITION,
-                          _negation_text(node_map[cid].description)))
+        steps.append(Step(keyword, StepKind.PRECONDITION, text))
     steps.append(Step(StepKeyword.WHEN, StepKind.TRIGGER, when_text))
     fired = evaluate(graph, assignment).effects
     then_effects = [target_effect] + sorted(e for e, v in fired.items()
@@ -453,30 +426,32 @@ def synthesize_missing(graph: CausalEffectGraph,
                        covered: set[tuple[str, frozenset]],
                        cap: int = ENUMERATION_CAP) -> list[Scenario]:
     """One new scenario per uncovered, satisfiable branch of every link."""
+    branches = [(link, msa) for link in sorted(graph.links, key=lambda l: l.effect)
+                for msa in minimal_satisfying_assignments(link.cause)
+                if branch_key(link, msa) not in covered]
+    if not branches:
+        return []
+    table = TruthTable.of(graph, cap)
     node_map = graph.node_map
     scenarios: list[Scenario] = []
     titles: set[str] = set()
-    for link in sorted(graph.links, key=lambda l: l.effect):
-        for msa in minimal_satisfying_assignments(link.cause):
-            if branch_key(link, msa) in covered:
-                continue
-            assignment = _choose_assignment(graph, msa, cap)
-            if assignment is None:
-                logger.info("branch %s of %s is unsatisfiable under constraints; skipped",
-                            dict(msa), link.statement_text())
-                continue
-            description = node_map[link.effect].description
-            title = description[0].upper() + description[1:]
-            serial = 2
-            while title in titles:
-                title = f"{description[0].upper()}{description[1:]} (case {serial})"
-                serial += 1
-            titles.add(title)
-            scenarios.append(Scenario(
-                title=title,
-                kind=ScenarioKind.PLAIN,
-                steps=tuple(_synth_steps(graph, assignment, msa, link.effect)),
-            ))
+    for link, msa in branches:
+        assignment = _choose_assignment(table, msa)
+        if assignment is None:
+            logger.info("branch %s of %s is unsatisfiable under constraints and "
+                        "restrictions; skipped", dict(msa), link.statement_text())
+            continue
+        description = node_map[link.effect].description
+        title = stem = description[0].upper() + description[1:]
+        serial = 2
+        while title in titles:
+            title, serial = f"{stem} (case {serial})", serial + 1
+        titles.add(title)
+        scenarios.append(Scenario(
+            title=title,
+            kind=ScenarioKind.PLAIN,
+            steps=tuple(_synth_steps(graph, assignment, msa, link.effect)),
+        ))
     return scenarios
 
 
@@ -651,25 +626,22 @@ def review(doc: GherkinDocument, graph: CausalEffectGraph,
     defect_history: dict[int, list[Defect]] = {i: [] for i in range(len(working))}
     edited: set[int] = set()
 
-    background_bindings = [
-        b for b in bind_steps(replace(doc, scenarios=()), graph, oracle)
-        if b.ref.container == "background"
-    ]
+    background_bindings = bind_steps(replace(doc, scenarios=()), graph, oracle)
     bg_bound = {b.ref.index for b in background_bindings}
     for index, step in enumerate(doc.background):
         if index not in bg_bound:
             report.notes.append(f"background step not bound to any node: {step.text}")
 
+    def check(scenario: Scenario) -> ScenarioVerdict:
+        bindings = [b for b in bind_steps(replace(doc, scenarios=(scenario,)), graph, oracle)
+                    if b.ref.container == "scenario:0"]
+        return check_scenario(scenario, bindings, graph, background_bindings=background_bindings)
+
     verdicts: dict[int, ScenarioVerdict] = {}
     for _ in range(_MAX_REVIEW_ROUNDS):
         changed = False
         for index, scenario in enumerate(working):
-            probe = replace(doc, scenarios=(scenario,))
-            bindings = [b for b in bind_steps(probe, graph, oracle)
-                        if b.ref.container == "scenario:0"]
-            verdict = check_scenario(scenario, bindings, graph,
-                                     background_bindings=background_bindings)
-            verdicts[index] = verdict
+            verdict = verdicts[index] = check(scenario)
             if verdict.status is not VerdictStatus.MISMATCH:
                 continue
             defect_history[index].extend(verdict.defects)
@@ -703,11 +675,7 @@ def review(doc: GherkinDocument, graph: CausalEffectGraph,
     synthesized = synthesize_missing(graph, covered, enumeration_cap)
     accepted: list[Scenario] = []
     for scenario in synthesized:
-        probe = replace(doc, scenarios=(scenario,))
-        bindings = [b for b in bind_steps(probe, graph, oracle)
-                    if b.ref.container == "scenario:0"]
-        verdict = check_scenario(scenario, bindings, graph,
-                                 background_bindings=background_bindings)
+        verdict = check(scenario)
         if verdict.status is VerdictStatus.CONSISTENT:
             accepted.append(scenario)
             consistent_assignments_seen.append(verdict.assignment)
@@ -754,8 +722,6 @@ def review(doc: GherkinDocument, graph: CausalEffectGraph,
         covered_links = {key[0] for key in covered_branches(
             graph, consistent_assignments_seen)}
         report.coverage = len(covered_links) / len(graph.links)
-    else:
-        report.coverage = 1.0
 
     revised_doc = replace(doc, scenarios=tuple(final_scenarios))
     return revised_doc, report

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -123,7 +125,69 @@ class TestProfiles:
             load_profile({"type": "carrier-pigeon"})
 
 
+@pytest.fixture
+def scripted_server():
+    """A local chat-completion endpoint that answers from a list and counts requests.
+
+    Each answer is (status, headers, body); the last one repeats.
+    """
+    state = {"answers": [], "requests": 0}
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            answers = state["answers"]
+            status, headers, body = answers[min(state["requests"], len(answers) - 1)]
+            state["requests"] += 1
+            payload = json.dumps(body).encode("utf-8")
+            self.send_response(status)
+            for name, value in headers.items():
+                self.send_header(name, value)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
+    thread.start()
+    state["endpoint"] = f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
+    try:
+        yield state
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+OK_ANSWER = (200, {}, {"choices": [{"message": {"content": "hello"}}]})
+
+
 class TestHttpOracle:
+    def test_client_error_is_not_retried(self, scripted_server):
+        scripted_server["answers"] = [(401, {}, {"error": "bad key"}), OK_ANSWER]
+        oracle = HttpOracle(endpoint=scripted_server["endpoint"], model="m", retries=2)
+        with pytest.raises(OracleFailure, match="rejected"):
+            oracle.complete(OracleRequest("ReasoningIQ", {"q": 1}))
+        assert scripted_server["requests"] == 1
+
+    def test_server_error_is_retried(self, scripted_server):
+        scripted_server["answers"] = [(503, {"Retry-After": "0"}, {"error": "busy"}),
+                                      OK_ANSWER]
+        oracle = HttpOracle(endpoint=scripted_server["endpoint"], model="m", retries=2)
+        assert oracle.complete(OracleRequest("ReasoningIQ", {"q": 1})) == "hello"
+        assert scripted_server["requests"] == 2
+
+    def test_too_many_requests_is_retried_until_exhausted(self, scripted_server):
+        scripted_server["answers"] = [(429, {"Retry-After": "0"}, {"error": "slow down"})]
+        oracle = HttpOracle(endpoint=scripted_server["endpoint"], model="m", retries=1)
+        with pytest.raises(OracleFailure, match="after 2 attempts"):
+            oracle.complete(OracleRequest("ReasoningIQ", {"q": 1}))
+        assert scripted_server["requests"] == 2
+
     def test_unreachable_endpoint_is_transport_failure(self):
         oracle = HttpOracle(endpoint="http://127.0.0.1:1/v1/chat", model="m",
                             retries=0, timeout=0.5)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
 
+from helpers import random_graph
 from requireceg.ceg.dsl import parse_ceg
 from requireceg.gherkin.ast import ScenarioKind, parse_feature, serialize
 from requireceg.gherkin.lint import lint
@@ -214,6 +218,18 @@ class TestSynthesize:
                         if b.ref.container == "scenario:0"]
             verdict = check_scenario(scenario, bindings, ftgo_graph)
             assert verdict.status is VerdictStatus.CONSISTENT, scenario.title
+
+
+    def test_synthesized_scenarios_never_fire_masked_effects(self):
+        rng = random.Random(7)
+        probe = parse_feature("Feature: probe\nScenario: x\nGiven y")
+        for _ in range(300):
+            graph = random_graph(rng, max_conditions=6, max_effects=8, max_statements=12)
+            for scenario in synthesize_missing(graph, set()):
+                doc = replace(probe, scenarios=(scenario,))
+                verdict = check_scenario(scenario, scenario_bindings(doc, graph), graph)
+                masked = [d.detail for d in verdict.defects if "fires while masked" in d.detail]
+                assert masked == [], scenario.title
 
 
 class TestReview:
